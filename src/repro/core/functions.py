@@ -25,6 +25,9 @@ from repro.exceptions import RankingFunctionError
 
 Row = Mapping[str, object]
 
+#: Compiled-term marker for an attribute the normalizer has no bounds for.
+_NO_BOUNDS = object()
+
 
 class UserRankingFunction(ABC):
     """A monotone scoring function over the rankable numeric attributes.
@@ -161,6 +164,7 @@ class LinearRankingFunction(UserRankingFunction):
                 )
         self._weights: Dict[str, float] = dict(sorted(cleaned.items()))
         self._normalizer = normalizer
+        self._terms = self._compile_terms()
 
     @property
     def weights(self) -> Dict[str, float]:
@@ -181,17 +185,41 @@ class LinearRankingFunction(UserRankingFunction):
             raise RankingFunctionError(f"{attribute!r} is not a ranking attribute")
         return self._weights[attribute]
 
-    def _value(self, row: Row, attribute: str) -> float:
-        raw = float(row[attribute])  # type: ignore[arg-type]
+    def _compile_terms(self) -> Tuple[Tuple[str, float, object, Optional[float]], ...]:
+        """One ``(attribute, weight, lower, span)`` term per weight, with the
+        normalizer's bounds looked up once.  ``lower`` is None without a
+        normalizer, ``span`` is None for degenerate bounds (``upper ==
+        lower``), and ``lower`` is ``_NO_BOUNDS`` when the normalizer has no
+        bounds for the attribute (scoring raises, as ``normalize`` does)."""
         if self._normalizer is None:
-            return raw
-        return self._normalizer.normalize(attribute, raw)
+            return tuple((a, w, None, None) for a, w in self._weights.items())
+        bounds = self._normalizer.bounds
+        terms = []
+        for attribute, weight in self._weights.items():
+            if attribute not in bounds:
+                terms.append((attribute, weight, _NO_BOUNDS, None))
+                continue
+            lower, upper = bounds[attribute]
+            terms.append((attribute, weight, lower, None if upper == lower else upper - lower))
+        return tuple(terms)
 
     def score(self, row: Row) -> float:
-        return sum(
-            weight * self._value(row, attribute)
-            for attribute, weight in self._weights.items()
-        )
+        # Bit-identical to summing ``weight * normalizer.normalize(a, float(row[a]))``
+        # in attribute order: same operations, same clamp, same sum().
+        products = []
+        for attribute, weight, lower, span in self._terms:
+            value = float(row[attribute])  # type: ignore[arg-type]
+            if span is not None:
+                value = (value - lower) / span
+                value = 0.0 if value < 0.0 else (1.0 if value > 1.0 else value)
+            elif lower is _NO_BOUNDS:
+                raise RankingFunctionError(
+                    f"no normalization bounds for attribute {attribute!r}"
+                )
+            elif lower is not None:
+                value = 0.0
+            products.append(weight * value)
+        return sum(products)
 
     def score_of_values(self, values: Mapping[str, float]) -> float:
         """Score of a point given directly as attribute values (used by the
@@ -242,7 +270,10 @@ class LinearRankingFunction(UserRankingFunction):
 
 class MinMaxNormalizerProtocol:
     """Structural type for normalizers (avoids a circular import with
-    :mod:`repro.core.normalization`)."""
+    :mod:`repro.core.normalization`).  Linear functions inline min–max
+    normalization from ``bounds``, read once when the function is built."""
+
+    bounds: Mapping[str, Tuple[float, float]]
 
     def normalize(self, attribute: str, value: float) -> float:  # pragma: no cover
         raise NotImplementedError

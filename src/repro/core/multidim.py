@@ -144,20 +144,22 @@ class MultiDimGetNext:
             str(best[key_column]),
         )
 
-    def _seed_from_cache(self, emitted: set) -> Optional[Row]:
+    def _seed_from_cache(self) -> Optional[Row]:
         if not self._config.enable_session_cache:
             return None
-        candidates = self._session.cached_candidates(
+        # The head is eligible by construction: unemitted, matching, and at
+        # or past the same frontier `_is_eligible` checks.
+        head = self._session.cached_candidates(
             self._base_query,
             self._ranking,
             self._frontier_score - _TOLERANCE,
             self._engine.key_column,
+            limit=1,
         )
-        for row in candidates:
-            if self._is_eligible(row, emitted):
-                self._statistics.record_cache_hit()
-                return row
-        return None
+        if not head:
+            return None
+        self._statistics.record_cache_hit()
+        return head[0]
 
     # ------------------------------------------------------------------ #
     # Box bookkeeping
@@ -212,7 +214,7 @@ class MultiDimGetNext:
     # ------------------------------------------------------------------ #
     def _find_next_tuple(self) -> Optional[Row]:
         emitted = self._session.emitted_key_set()
-        best = self._seed_from_cache(emitted)
+        best = self._seed_from_cache()
         if self._variant is MDVariant.BASELINE:
             return self._baseline_search(best, emitted)
         return self._partition_search(best, emitted)

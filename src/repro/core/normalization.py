@@ -17,7 +17,8 @@ Two ways of obtaining the ``(min, max)`` pair per attribute are supported:
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Mapping, Optional, Tuple
+from types import MappingProxyType
+from typing import Mapping, Optional, Tuple
 
 from repro.dataset.schema import Schema
 from repro.exceptions import RankingFunctionError
@@ -29,9 +30,12 @@ from repro.webdb.query import SearchQuery
 class MinMaxNormalizer:
     """Maps raw attribute values into ``[0, 1]`` given per-attribute bounds."""
 
-    bounds: Dict[str, Tuple[float, float]]
+    #: Read-only (a copy taken at construction): ranking functions snapshot
+    #: the bounds when they are built, so they must never change afterwards.
+    bounds: Mapping[str, Tuple[float, float]]
 
     def __post_init__(self) -> None:
+        self.bounds = MappingProxyType(dict(self.bounds))
         for attribute, (lower, upper) in self.bounds.items():
             if lower > upper:
                 raise RankingFunctionError(

@@ -240,23 +240,22 @@ class OneDimGetNext:
         a free upper bound for the next value."""
         if not self._config.enable_session_cache:
             return None
+        # A 1D score is the oriented value, so the best cached value past the
+        # frontier is the head of the candidates strictly (or, on the closed
+        # domain edge, inclusively) beyond it.
         lower, include_lower = self._frontier_lower()
-        frontier_score = -math.inf
-        candidates = self._session.cached_candidates(
+        head = self._session.cached_candidates(
             self._base_query,
             self._ranking,
-            frontier_score,
+            lower,
             self._engine.key_column,
+            limit=1,
+            strict=not include_lower,
         )
-        best: Optional[float] = None
-        for row in candidates:
-            value = self._oriented_value(row)
-            beyond = value > lower or (include_lower and value == lower)
-            if beyond and (best is None or value < best):
-                best = value
-        if best is not None:
-            self._statistics.record_cache_hit()
-        return best
+        if not head:
+            return None
+        self._statistics.record_cache_hit()
+        return self._oriented_value(head[0])
 
     # ------------------------------------------------------------------ #
     # Step 1: find the next oriented value

@@ -1,6 +1,8 @@
 """Tests for user ranking functions and min–max normalization."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.core.functions import (
     LinearRankingFunction,
@@ -150,6 +152,77 @@ class TestMinMaxNormalizer:
     def test_from_observed(self):
         normalizer = MinMaxNormalizer.from_observed({"price": (1, 3)})
         assert normalizer.normalize("price", 2) == pytest.approx(0.5)
+
+    def test_bounds_are_read_only(self):
+        source = {"price": (0.0, 10.0)}
+        normalizer = MinMaxNormalizer(source)
+        with pytest.raises(TypeError):
+            normalizer.bounds["price"] = (0.0, 20.0)  # type: ignore[index]
+        with pytest.raises(TypeError):
+            del normalizer.bounds["price"]  # type: ignore[attr-defined]
+        source["price"] = (0.0, 20.0)  # the caller's dict is copied, not shared
+        assert normalizer.normalize("price", 10.0) == 1.0
+
+
+ATTRIBUTES = ("a", "b", "c")
+scalars = st.floats(min_value=-1e6, max_value=1e6, allow_nan=False)
+
+
+@st.composite
+def scored_cases(draw):
+    """A linear function and a row covering clamping on both sides,
+    degenerate bounds, negative weights, no normalizer, and int or
+    numeric-string values."""
+    weights = draw(
+        st.dictionaries(
+            st.sampled_from(ATTRIBUTES),
+            st.floats(min_value=-1.0, max_value=1.0, allow_nan=False).filter(bool),
+            min_size=1,
+        )
+    )
+    normalizer = None
+    if draw(st.booleans()):
+        bounds = {}
+        for attribute in weights:
+            lower = draw(scalars)
+            upper = lower if draw(st.integers(0, 4)) == 0 else lower + draw(
+                st.floats(min_value=1e-9, max_value=1e6)
+            )
+            bounds[attribute] = (lower, upper)
+        normalizer = MinMaxNormalizer(bounds)
+    row = {}
+    for attribute in weights:
+        value = draw(scalars)
+        kind = draw(st.sampled_from(["float", "int", "str"]))
+        row[attribute] = int(value) if kind == "int" else repr(value) if kind == "str" else value
+    return LinearRankingFunction(weights, normalizer=normalizer), row
+
+
+class TestCompiledScorer:
+    @settings(max_examples=500, deadline=None)
+    @given(scored_cases())
+    def test_score_is_bit_identical_to_the_reference_sum(self, case):
+        ranking, row = case
+        normalizer = ranking.normalizer
+        if normalizer is None:
+            reference = sum(w * float(row[a]) for a, w in ranking.weights.items())
+        else:
+            reference = sum(
+                w * normalizer.normalize(a, float(row[a])) for a, w in ranking.weights.items()
+            )
+        assert ranking.score(row).hex() == reference.hex()
+
+    def test_clamped_and_degenerate_terms(self):
+        normalizer = MinMaxNormalizer({"a": (0.0, 10.0), "b": (3.0, 3.0)})
+        ranking = LinearRankingFunction({"a": 1.0, "b": -1.0}, normalizer=normalizer)
+        assert ranking.score({"a": -5, "b": "7"}).hex() == (0.0).hex()
+        assert ranking.score({"a": 50, "b": 3}) == 1.0
+
+    def test_missing_bounds_raise_when_scoring(self):
+        normalizer = MinMaxNormalizer({"a": (0.0, 1.0)})
+        ranking = LinearRankingFunction({"a": 1.0, "b": 1.0}, normalizer=normalizer)
+        with pytest.raises(RankingFunctionError):
+            ranking.score({"a": 0.5, "b": 0.5})
 
 
 class TestDiscoveredRange:

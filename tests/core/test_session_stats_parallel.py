@@ -2,6 +2,7 @@
 
 import math
 import threading
+import time
 
 import pytest
 
@@ -89,6 +90,24 @@ class TestSession:
         assert info["session_id"] == "s1"
         assert session.idle_seconds() >= 0.0
         session.touch()
+
+    def test_idle_timer_ignores_wall_clock_steps(self, monkeypatch):
+        session = Session("s1")
+        session.touch()
+        wall = time.time()
+        monkeypatch.setattr(time, "time", lambda: wall - 86400.0)  # stepped back a day
+        assert 0.0 <= session.idle_seconds() < 60.0
+        monkeypatch.setattr(time, "time", lambda: wall + 86400.0)  # and forward a day
+        assert session.idle_seconds() < 60.0
+        assert session.describe()["idle_seconds"] < 60.0
+
+    def test_idle_timer_follows_the_monotonic_clock(self, monkeypatch):
+        session = Session("s1")
+        start = time.monotonic()
+        monkeypatch.setattr(time, "monotonic", lambda: start + 120.0)
+        assert session.idle_seconds() >= 120.0
+        session.touch()
+        assert session.idle_seconds() == 0.0
 
 
 class TestRerankStatistics:

@@ -1,5 +1,7 @@
 """Tests for the data-source registry and the QR2 service application."""
 
+import time
+
 import pytest
 
 from repro.config import DatabaseConfig, RerankConfig, ServiceConfig
@@ -68,6 +70,13 @@ class TestSessions:
         )
         quick.create_session()
         assert quick.expire_idle_sessions() == 1
+
+    def test_wall_clock_step_does_not_expire_live_sessions(self, registry, monkeypatch):
+        service = QR2Service(registry=registry, config=ServiceConfig(session_ttl_seconds=600.0))
+        service.create_session()
+        wall = time.time()
+        monkeypatch.setattr(time, "time", lambda: wall + 86400.0)
+        assert service.expire_idle_sessions() == 0
 
 
 class TestQueryFlow:
